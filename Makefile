@@ -124,7 +124,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimnetDispatch' -benchmem -benchtime=2s . | tee -a bench_current.txt
 	$(GO) run ./cmd/benchjson -baseline-json BENCH_PR8.json -current bench_current.txt \
 		-out BENCH_PR9.json -print \
-		-note "before/after results for the parallel merge pipeline, batched DRed release waves and adaptive shard runtime (PR 9); baseline is the PR 8 record on the same hardware. The legacy fixpoint benchmarks must keep deltas and wire bytes bit-identical to PR 8 (work order changes, fixpoints do not); BenchmarkDRedChurn is the new deletion-churn baseline, whose batched/* variants must beat per-suspect/* on the mincost grid. Regenerate with make bench"
+		-note "before/after results for the parallel merge pipeline, batched DRed release waves and adaptive shard runtime; baseline is the BENCH_PR8.json record on the same hardware. The legacy fixpoint benchmarks must keep deltas and wire bytes bit-identical to that record (work order changes, fixpoints do not); BenchmarkDRedChurn is the deletion-churn baseline. Regenerate with make bench"
 
 # One-iteration smoke run used by CI to catch benchmark bit-rot cheaply.
 bench-smoke:

@@ -6,12 +6,12 @@
 //
 // Usage:
 //
-//	go run ./cmd/benchjson -baseline BENCH_BASELINE_PR2.txt -current bench_current.txt -out BENCH_PR2.json
+//	go run ./cmd/benchjson -baseline bench_before.txt -current bench_current.txt -out BENCH_PR<n>.json
 //
 // The baseline may instead be a previously committed record: with
 // -baseline-json the `current` side of that JSON document becomes the
-// baseline, which is how CI compares a smoke run against the standing
-// numbers. -print renders a benchstat-style delta table to stdout
+// baseline, which is how `make bench` and CI compare a run against the
+// standing numbers. One of -baseline and -baseline-json is required. -print renders a benchstat-style delta table to stdout
 // (report-only; the exit code never depends on the deltas).
 package main
 
@@ -162,15 +162,15 @@ func printDelta(base, cur map[string]*Result, order []string) {
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_BASELINE.txt", "pre-change bench output (text)")
+	baselinePath := flag.String("baseline", "", "pre-change bench output (text)")
 	baselineJSON := flag.String("baseline-json", "", "committed BENCH_*.json whose `current` side is the baseline (overrides -baseline)")
 	currentPath := flag.String("current", "", "post-change bench output (required)")
 	outPath := flag.String("out", "", "output JSON path (omit to skip writing)")
 	note := flag.String("note", "", "note recorded in the output document")
 	doPrint := flag.Bool("print", false, "print a benchstat-style delta table to stdout")
 	flag.Parse()
-	if *currentPath == "" {
-		fmt.Fprintln(os.Stderr, "benchjson: -current is required")
+	if *currentPath == "" || *baselinePath == "" && *baselineJSON == "" {
+		fmt.Fprintln(os.Stderr, "benchjson: -current and one of -baseline, -baseline-json are required")
 		os.Exit(2)
 	}
 

@@ -66,8 +66,8 @@ var appSpecs = map[string]appSpec{
 // count for this host, and an explicit positive integer requests that
 // count. Both go through engine.EffectiveShards, which caps the result at
 // GOMAXPROCS — shards beyond the core count only add partition routing
-// without parallelism — and the round runtime further collapses thin
-// rounds to the serial path. (The engine API itself honors explicit counts
+// without parallelism — and the round runtime further runs thin rounds
+// inline on one goroutine. (The engine API itself honors explicit counts
 // verbatim; tests pin shard counts through it directly.)
 func parseShards(s string) (int, error) {
 	if s == "auto" {
@@ -93,8 +93,8 @@ func main() {
 	deployMode := flag.Bool("deploy", false, "run over real UDP sockets (testbed mode) instead of the simulator")
 	shardsFlag := flag.String("shards", "auto",
 		"engine worker shards per node: a positive integer, or 'auto' to size for this\n"+
-			"host (either way capped at GOMAXPROCS; thin rounds additionally collapse to\n"+
-			"the serial path at runtime). With >1 shards a plain fixpoint run uses the parallel round\n"+
+			"host (either way capped at GOMAXPROCS; thin rounds additionally run inline\n"+
+			"at runtime). With >1 shards a plain fixpoint run uses the parallel round\n"+
 			"scheduler, while -query/-dump-prov/-deploy runs keep their driver and shard\n"+
 			"each node's evaluation internally")
 	faultSeed := flag.Int64("fault-seed", 0, "seed of the injected fault schedule (with -loss/-dup/-partition)")

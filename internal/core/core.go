@@ -41,12 +41,12 @@ type Config struct {
 	// bandwidth recorder to the network.
 	BandwidthBucketNs int64
 
-	// Shards is the number of engine worker shards per node (0 or 1 =
-	// classic serial evaluation; engine.AutoShards sizes the count for the
-	// host via engine.EffectiveShards). Sharded nodes evaluate each
-	// incoming message batch with the parallel round runtime; results
-	// match the serial engine exactly. Value-based and centralized
-	// provenance clamp to one shard (see engine.NewNodeSharded).
+	// Shards is the number of engine worker shards per node (0 or 1 = one
+	// shard; engine.AutoShards sizes the count for the host via
+	// engine.EffectiveShards). Every node evaluates each incoming message
+	// with the round runtime, in parallel across shards; results match the
+	// one-shard engine exactly. Value-based and centralized provenance
+	// clamp to one shard (see engine.NewNodeSharded).
 	Shards int
 
 	// Base holds additional base tuples injected at their owning nodes at
@@ -443,6 +443,3 @@ func (c *Cluster) RandomTupleOf(pred string, rng *rand.Rand) (TupleRef, bool) {
 
 // AvgCommMB reports the per-node average communication cost in MB.
 func (c *Cluster) AvgCommMB() float64 { return c.Net.AvgSentMB() }
-
-// ParseProgram is a convenience wrapper re-exported for cmd tools.
-func ParseProgram(src string) (*ndlog.Program, error) { return ndlog.Parse(src) }

@@ -47,10 +47,10 @@ type Config struct {
 	CacheOn bool
 
 	// Shards is the number of engine worker shards per node process (0 or
-	// 1 = classic serial evaluation; engine.AutoShards sizes the count for
-	// the host via engine.EffectiveShards). Each UDP datagram batch is
-	// then evaluated by the parallel round runtime; fixpoint results match
-	// the serial engine exactly.
+	// 1 = one shard; engine.AutoShards sizes the count for the host via
+	// engine.EffectiveShards). Each UDP datagram batch is evaluated by the
+	// round runtime, in parallel across shards; fixpoint results match the
+	// one-shard engine exactly.
 	Shards int
 
 	// Base is extra per-node EDB seeded by InsertLinks after (or, with
@@ -765,18 +765,6 @@ func (c *Cluster) TotalSentBytes() int64 {
 // AvgSentKB reports the per-node average bytes sent, in kilobytes.
 func (c *Cluster) AvgSentKB() float64 {
 	return float64(c.TotalSentBytes()) / float64(len(c.Nodes)) / 1e3
-}
-
-// BandwidthSeries merges the per-node recorders into one average-per-node
-// MBps series covering [0, until).
-func (c *Cluster) BandwidthSeries(until time.Duration) []stats.Point {
-	merged := stats.NewBandwidth(int64(100 * time.Millisecond))
-	for _, np := range c.Nodes {
-		np.recMu.Lock()
-		merged.Merge(np.Recorder)
-		np.recMu.Unlock()
-	}
-	return merged.Series(int64(until), len(c.Nodes))
 }
 
 // Snapshot returns every visible tuple of a predicate across nodes (worker

@@ -8,62 +8,6 @@ import (
 	"repro/internal/types"
 )
 
-// fireAgg routes a delta of an aggregate rule's body predicate through the
-// group state — the serial (single-shard) path, where the group lives on
-// this shard and updates apply inline. Under rounds the same body evaluation
-// happens in fireAggRound, which ships the update to the group's owner shard
-// instead (aggregate groups are partitioned by group-key hash, so one shard
-// owns each group's whole input multiset).
-func (sh *shard) fireAgg(rule *CompiledRule, t types.Tuple, sign int8, payload bdd.Ref) {
-	n := sh.n
-	env, ok := sh.evalAggBody(rule, t)
-	if !ok {
-		return
-	}
-	spec := rule.agg
-	groupVals := sh.groupBuf[:len(spec.groupCode)]
-	for i, code := range spec.groupCode {
-		v, err := code(env)
-		if err != nil {
-			sh.fail(fmt.Errorf("rule %s group: %w", rule.Label, err))
-			return
-		}
-		groupVals[i] = v
-	}
-	groups := sh.aggByRule[rule.idx]
-	if groups == nil {
-		groups = map[string]*aggGroup{}
-		sh.aggByRule[rule.idx] = groups
-	}
-	sh.keyBuf = appendValuesKey(sh.keyBuf[:0], groupVals)
-	g := groups[string(sh.keyBuf)]
-	if g == nil {
-		g = sh.allocAggGroup()
-		groups[string(sh.keyBuf)] = g
-	}
-
-	if sign == Update {
-		// Value-mode payload update: if the updated input is the current
-		// winner, the head's payload follows it.
-		if n.Mode == ProvValue && g.curWinner != nil && g.curWinner.input.Equal(t) && g.hasOut {
-			out := g.curOut
-			out.Pred = rule.HeadPred
-			sh.vidBuf[0], sh.hashBuf = t.VIDBuf(sh.hashBuf)
-			var rid types.ID
-			rid, sh.ridBuf = types.RuleExecIDBuf(rule.Label, n.ID, sh.vidBuf[:1], sh.ridBuf)
-			sh.route(out, n.ID, Update, rid, payload)
-		}
-		return
-	}
-
-	sortVal, carried := sh.evalAggVals(rule, env)
-	for _, em := range g.update(sh, rule, groupVals, sortVal, carried, t, sign) {
-		out := em.tuple
-		out.Pred = rule.HeadPred
-		sh.emitAggChange(rule, out, em, t)
-	}
-}
-
 // evalAggBody binds the body tuple into the rule environment and runs the
 // plan's assignments and conditions; ok is false when binding or a condition
 // fails (or an expression errored).
@@ -141,15 +85,13 @@ func (sh *shard) emitAggChange(rule *CompiledRule, out types.Tuple, em aggEmit, 
 	var payload bdd.Ref
 	if em.hasWin {
 		// The winning input is stored in the body relation; reuse its
-		// cached VID instead of re-hashing the tuple. Under rounds the
-		// winner may live on a sibling shard that is concurrently applying
-		// its own batch, so only a self-owned entry is consulted — the
-		// fallback recomputes the same content-derived RID either way.
+		// cached VID instead of re-hashing the tuple. The winner may live
+		// on a sibling shard that is concurrently applying its own batch,
+		// so only a self-owned entry is consulted — the fallback recomputes
+		// the same content-derived RID either way.
 		var winEnt *entry
-		if rel := sh.aggBodyRel[rule.idx]; rel != nil {
-			if !n.rounds() || n.ownerShard(em.winner) == sh {
-				winEnt = rel.get(em.winner)
-			}
+		if rel := sh.aggBodyRel[rule.idx]; rel != nil && n.ownerShard(em.winner) == sh {
+			winEnt = rel.get(em.winner)
 		}
 		var winVID types.ID
 		var ridh types.IDHandle
@@ -157,8 +99,9 @@ func (sh *shard) emitAggChange(rule *CompiledRule, out types.Tuple, em aggEmit, 
 			winVID, sh.hashBuf = winEnt.VIDBuf(sh.hashBuf)
 			sh.vidBuf[0] = winVID
 			// Aggregate RIDs hash a single stored input; memoize them like
-			// join RIDs (entBuf is idle here — fireAgg never runs inside
-			// execPlan, so borrowing slot 0 cannot clobber a live plan).
+			// join RIDs (entBuf is idle here — group updates never run
+			// inside execPlan, so borrowing slot 0 cannot clobber a live
+			// plan).
 			sh.entBuf[0] = winEnt
 			rid, ridh = sh.ruleExecID(rule, sh.entBuf[:1], sh.vidBuf[:1])
 		} else {

@@ -63,8 +63,7 @@ func (n *Node) releaseRandom(rng *rand.Rand) bool {
 				strata = append(strata, s)
 			}
 			sort.Ints(strata)
-			lim := 1 + rng.Intn(3)
-			if sh.releaseStratum(strata[rng.Intn(len(strata))], &lim) {
+			if sh.releaseSome(strata[rng.Intn(len(strata))], 1+rng.Intn(3)) {
 				any = true
 			}
 			if rng.Intn(2) == 0 {
@@ -72,6 +71,35 @@ func (n *Node) releaseRandom(rng *rand.Rand) bool {
 			}
 		}
 	}
+	return any
+}
+
+// releaseSome releases at most lim staged items of one stratum, in staged
+// list order: releaseStratum sees only those items, and the rest rejoin the
+// staged lists afterwards.
+func (sh *shard) releaseSome(stratum, lim int) bool {
+	var ents, heldEnts []*entry
+	for _, e := range sh.stagedEnts {
+		if lim > 0 && sh.stratumOf(e.tuple.Pred) == stratum {
+			ents = append(ents, e)
+			lim--
+		} else {
+			heldEnts = append(heldEnts, e)
+		}
+	}
+	var groups, heldGroups []stagedGroup
+	for _, sg := range sh.stagedGroups {
+		if lim > 0 && sg.rule.headStratum == stratum {
+			groups = append(groups, sg)
+			lim--
+		} else {
+			heldGroups = append(heldGroups, sg)
+		}
+	}
+	sh.stagedEnts, sh.stagedGroups = ents, groups
+	any := sh.releaseStratum(stratum)
+	sh.stagedEnts = append(sh.stagedEnts, heldEnts...)
+	sh.stagedGroups = append(sh.stagedGroups, heldGroups...)
 	return any
 }
 

@@ -13,20 +13,17 @@ import (
 // lives in per-shard scratch arenas — one rule firing performs no slice
 // allocation of its own, which the hotpath_test.go fences pin.
 //
-// Two probing disciplines share this code:
+// Rules fire in the round executor's fire phase (rounds.go), against frozen
+// state that includes the whole round's batch. To fire each joint
+// derivation exactly once, a delta at body position p joins atoms q < p
+// against NEW state (end of round) and atoms q > p against OLD state (start
+// of round) — the standard batched semi-naïve decomposition
 //
-//   - Serial (single shard): indexes contain exactly the visible tuples and
-//     a probe admits every candidate — the classic pipelined semi-naïve
-//     (PSN) evaluation, bit-identical to the pre-sharding engine.
-//   - Rounds (sharded): the fire phase runs against frozen state that
-//     includes the whole round's batch. To fire each joint derivation
-//     exactly once, a delta at body position p joins atoms q < p against
-//     NEW state (end of round) and atoms q > p against OLD state (start of
-//     round) — the standard batched semi-naïve decomposition
-//     ΔH = Σ_p  A₁ⁿᵉʷ ⋈ … ⋈ A₍p₋₁₎ⁿᵉʷ ⋈ ΔA_p ⋈ A₍p₊₁₎ᵒˡᵈ ⋈ … ⋈ A_kᵒˡᵈ,
-//     which telescopes to the exact net change whatever the batch order.
-//     Event deltas (never materialized, so never probed) always see NEW
-//     state: an event observes the batch it arrived with.
+//	ΔH = Σ_p  A₁ⁿᵉʷ ⋈ … ⋈ A₍p₋₁₎ⁿᵉʷ ⋈ ΔA_p ⋈ A₍p₊₁₎ᵒˡᵈ ⋈ … ⋈ A_kᵒˡᵈ,
+//
+// which telescopes to the exact net change whatever the batch order. Event
+// deltas (never materialized, so never probed) always see NEW state: an
+// event observes the batch it arrived with.
 
 // firePlan evaluates the delta plan of (rule, pos) for tuple t and emits
 // head derivations.
@@ -95,52 +92,25 @@ func (sh *shard) execPlan(rule *CompiledRule, pl *plan, step int, sign int8,
 			sh.execPlan(rule, pl, step+1, sign, env, matched, ments, payloads)
 		}
 	case stepJoin:
-		if sh.n.rounds() {
-			sh.execJoinRound(rule, pl, st, step, sign, env, matched, ments, payloads)
-			return
-		}
-		// Probe the index handle bound at plan-bind time: no index-ID
-		// formatting, and the lookup key is built in a reusable buffer
-		// (the map access on []byte bytes is allocation-free). A nil
-		// handle means the joined atom is an event, which never
-		// materializes.
-		idx := sh.joinIdx[st.joinID]
-		if idx == nil {
-			return
-		}
-		sh.keyBuf = st.appendLookupKey(sh.keyBuf[:0], env)
-		cands := idx.lookup(sh.keyBuf)
-		js := &sh.joinStats[st.joinID]
-		js.probes++
-		js.hits += int64(len(cands))
-		for _, cand := range cands {
-			if !bindTuple(st.binds, cand.tuple, env) {
-				continue
-			}
-			matched[st.atom] = cand.tuple
-			ments[st.atom] = cand
-			payloads[st.atom] = cand.payload
-			sh.execPlan(rule, pl, step+1, sign, env, matched, ments, payloads)
-		}
+		sh.execJoin(rule, pl, st, step, sign, env, matched, ments, payloads)
 	}
 }
 
-// execJoinRound is the stepJoin case under the sharded round discipline: the
-// probed relation is partitioned across every shard of the node, so the key
-// is looked up in each shard's index handle (in shard order, keeping
-// candidate enumeration deterministic), and candidates are admitted against
-// NEW or OLD visibility depending on the probed atom's position relative to
-// the firing delta (see the file comment).
+// execJoin is the stepJoin case: the probed relation is partitioned across
+// every shard of the node, so the key is looked up in each shard's index
+// handle bound at plan-bind time (in shard order, keeping candidate
+// enumeration deterministic), and candidates are admitted against NEW or
+// OLD visibility depending on the probed atom's position relative to the
+// firing delta (see the file comment).
 //
 //exspan:hotpath
-func (sh *shard) execJoinRound(rule *CompiledRule, pl *plan, st *planStep, step int, sign int8,
+func (sh *shard) execJoin(rule *CompiledRule, pl *plan, st *planStep, step int, sign int8,
 	env []types.Value, matched []types.Tuple, ments []*entry, payloads []bdd.Ref) {
 
 	admitNew := st.atom < sh.fireAtomPos || sh.fireIsEvent
 	curRound := sh.n.curRound
-	// Unlike the serial path (one lookup per step), the key is consulted
-	// once per peer shard, so it lives in a per-step buffer the deeper
-	// recursion cannot clobber.
+	// The key is consulted once per peer shard, so it lives in a per-step
+	// buffer the deeper recursion cannot clobber.
 	key := st.appendLookupKey(sh.rs.keyBufs[step][:0], env)
 	sh.rs.keyBufs[step] = key
 	js := &sh.joinStats[st.joinID]
@@ -162,8 +132,19 @@ func (sh *shard) execJoinRound(rule *CompiledRule, pl *plan, st *planStep, step 
 		js.hits += int64(len(cands))
 		for _, cand := range cands {
 			vis := cand.visible
-			if !admitNew && cand.touchRound == curRound {
-				vis = cand.startVis
+			if cand.touchRound == curRound && !sh.fireIsEvent {
+				// The candidate changed this round. Besides the OLD/NEW side
+				// rule, an Insert emits only derivations that exist at the end
+				// of the round and a Delete only those that existed at its
+				// start: one the round both created and destroyed would fire
+				// an Insert and a Delete from two items, and a Delete that
+				// overtakes its Insert is dropped at the receiver.
+				switch {
+				case !admitNew:
+					vis = cand.startVis && (sign != Insert || cand.visible)
+				case sign == Delete:
+					vis = cand.startVis && cand.visible
+				}
 			}
 			if !vis {
 				continue
@@ -256,31 +237,6 @@ func (sh *shard) emitDerivation(rule *CompiledRule, env []types.Value,
 	sh.route(head, dst, sign, rid, payload)
 }
 
-// ruleExecRow applies (or, under rounds, defers) one ruleExec-partition row
-// change. In serial mode the row goes straight to this shard's partition. In
-// round mode inserts and deletes of the same RID may fire on different
-// shards (whichever shard owned the triggering delta), so the ops are
-// buffered and replayed at the merge barrier into the RID's home partition,
-// keeping each add/del pair in one map.
-//
-//exspan:hotpath
-func (sh *shard) ruleExecRow(ridh types.IDHandle, rid types.ID, label string, inputVIDs []types.ID, sign int8) {
-	if sh.n.rounds() {
-		sh.deferRuleExecRow(ridh, rid, label, inputVIDs, sign)
-		return
-	}
-	switch {
-	case sign == Insert && ridh != 0:
-		sh.store.AddRuleExecH(ridh, rid, label, inputVIDs)
-	case sign == Insert:
-		sh.store.AddRuleExec(rid, label, inputVIDs)
-	case ridh != 0:
-		sh.store.DelRuleExecH(ridh)
-	default:
-		sh.store.DelRuleExec(rid)
-	}
-}
-
 // ridCacheVal is one memoized rule-execution identifier: the digest plus
 // its interned handle (which keys the ruleExec store partition).
 type ridCacheVal struct {
@@ -315,27 +271,24 @@ func (sh *shard) ruleExecID(rule *CompiledRule, ments []*entry, inputVIDs []type
 }
 
 // route delivers a derived delta to its destination node: enqueued locally
-// when the head lives here, shipped through the transport otherwise. Under
-// rounds both paths are buffered on the firing shard and handed over at the
-// merge barrier in shard-index order — except while the node is releasing
-// staged re-derivations, which happens between rounds: those deltas go
-// straight to their owner shard's ring (and the transport), where the next
-// round picks them up.
+// when the head lives here, shipped through the transport otherwise. Both
+// paths are buffered on the firing shard and handed over at the merge
+// barrier in shard-index order — except while the node is releasing staged
+// re-derivations, which happens between rounds: those deltas go straight to
+// their owner shard's ring (and the transport), where the next round picks
+// them up.
 //
 //exspan:hotpath
 func (sh *shard) route(head types.Tuple, dst types.NodeID, sign int8, rid types.ID, payload bdd.Ref) {
 	n := sh.n
 	if dst == n.ID {
 		d := localDelta{tuple: head, sign: sign, rid: rid, rloc: n.ID, payload: payload}
-		switch {
-		case n.rounds() && !n.releasing:
-			dst := n.ownerIdx(d.tuple)
-			sh.rs.outLocal[dst] = append(sh.rs.outLocal[dst], d)
-		case n.rounds():
+		if n.releasing {
 			n.ownerShard(d.tuple).enqueue(d)
-		default:
-			sh.enqueue(d)
+			return
 		}
+		dst := n.ownerIdx(d.tuple)
+		sh.rs.outLocal[dst] = append(sh.rs.outLocal[dst], d)
 		return
 	}
 	m := n.newMessage()
@@ -349,9 +302,9 @@ func (sh *shard) route(head types.Tuple, dst types.NodeID, sign int8, rid types.
 		m.HasRef, m.RID, m.RLoc = true, rid, n.ID
 		m.Payload = n.Mgr.Encode(payload, nil)
 	}
-	if n.rounds() && !n.releasing {
-		sh.rs.outMsgs = append(sh.rs.outMsgs, outMsg{to: dst, m: m})
+	if n.releasing {
+		n.Transport.Send(n.ID, dst, m)
 		return
 	}
-	n.Transport.Send(n.ID, dst, m)
+	sh.rs.outMsgs = append(sh.rs.outMsgs, outMsg{to: dst, m: m})
 }

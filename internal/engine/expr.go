@@ -344,12 +344,3 @@ var builtins = map[string]func(args []types.Value) (types.Value, error){
 		return types.Str(string(b)), nil
 	},
 }
-
-// RegisterBuiltin installs an additional NDlog function; it is intended for
-// tests and example programs. Registering an existing name panics.
-func RegisterBuiltin(name string, fn func(args []types.Value) (types.Value, error)) {
-	if _, ok := builtins[name]; ok {
-		panic("engine: builtin already registered: " + name)
-	}
-	builtins[name] = fn
-}

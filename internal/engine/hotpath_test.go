@@ -206,8 +206,8 @@ func TestSchedulerDeliveryAllocFree(t *testing.T) {
 // indexing an entry under a string-valued key used to copy the key bytes on
 // every first sight. With hashed buckets the index stores only a 64-bit hash
 // and recycles bucket boxes through a free list, so steady-state visibility
-// churn — unindex on hide, reindex on show, string keys included — must not
-// allocate at all.
+// churn — hide, unindex at the merge barrier, reindex on show, string keys
+// included — must not allocate at all.
 func TestIndexChurnAllocFree(t *testing.T) {
 	rel := NewRelation("p")
 	rel.EnsureIndex([]int{1})
@@ -220,21 +220,21 @@ func TestIndexChurnAllocFree(t *testing.T) {
 		rel.setVisible(e, true)
 		entries = append(entries, e)
 	}
-	// Warm one full churn cycle so bucket boxes land on the free list.
-	for _, e := range entries {
-		rel.setVisible(e, false)
-	}
-	for _, e := range entries {
-		rel.setVisible(e, true)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+	// One churn cycle hides every entry, unindexes it at the merge barrier
+	// and re-shows it. Warm one so bucket boxes land on the free list.
+	cycle := func() {
 		for _, e := range entries {
 			rel.setVisible(e, false)
 		}
 		for _, e := range entries {
+			rel.unindex(e)
+		}
+		for _, e := range entries {
 			rel.setVisible(e, true)
 		}
-	})
+	}
+	cycle()
+	allocs := testing.AllocsPerRun(100, cycle)
 	if rel.Len() != len(entries) {
 		t.Fatalf("Len = %d after churn, want %d", rel.Len(), len(entries))
 	}
@@ -243,11 +243,12 @@ func TestIndexChurnAllocFree(t *testing.T) {
 	}
 }
 
-// TestSweepSparesRetractingEntry: when the tombstone sweep fires inside
-// setVisible(e, false), the entry whose retraction triggered it must keep
-// its fields — the caller is still mid-cascade and reads its payload and
-// cached VID afterwards. All other tombstones are cleared and recycled.
-func TestSweepSparesRetractingEntry(t *testing.T) {
+// TestSweepDeferredToMergeBarrier: hiding an entry never sweeps — a fire
+// phase may still read a retracted entry's payload and cached VID until the
+// round's merge barrier — and the barrier's maybeSweepRound then clears and
+// recycles every tombstone except staged suspects, which the release list
+// still points at.
+func TestSweepDeferredToMergeBarrier(t *testing.T) {
 	rel := NewRelation("p")
 	var entries []*entry
 	const n = 300
@@ -257,21 +258,28 @@ func TestSweepSparesRetractingEntry(t *testing.T) {
 		rel.setVisible(e, true)
 		entries = append(entries, e)
 	}
-	// Retract everything; the sweep threshold (dead > 128 && dead >
-	// 2*visible) trips mid-loop while later entries are still visible.
-	swept := false
+	// Retract everything: the sweep threshold (dead > 128 && dead >
+	// 2*visible) is crossed mid-loop, but nothing may be swept yet.
+	staged := entries[0]
+	staged.staged = true
 	for _, e := range entries {
 		e.delDeriv(e.derivs[0].rid)
 		rel.setVisible(e, false)
+	}
+	for _, e := range entries {
 		if e.tuple.Pred == "" {
-			t.Fatal("sweep cleared the entry whose retraction triggered it")
-		}
-		if !swept && len(rel.freeEntries) > 0 {
-			swept = true
+			t.Fatal("setVisible swept a tombstone before the merge barrier")
 		}
 	}
-	if !swept {
-		t.Fatal("sweep never triggered; threshold assumptions stale")
+	if !rel.sweepDue() || len(rel.freeEntries) != 0 {
+		t.Fatalf("sweepDue=%v free=%d before the barrier; threshold assumptions stale", rel.sweepDue(), len(rel.freeEntries))
+	}
+	rel.maybeSweepRound()
+	if len(rel.freeEntries) != n-1 {
+		t.Fatalf("barrier sweep recycled %d entries, want %d", len(rel.freeEntries), n-1)
+	}
+	if staged.tuple.Pred == "" || rel.get(staged.tuple) != staged {
+		t.Fatal("barrier sweep reclaimed a staged suspect")
 	}
 	if rel.Len() != 0 {
 		t.Fatalf("Len = %d after full retraction, want 0", rel.Len())

@@ -46,9 +46,10 @@ func (m ProvMode) String() string {
 
 // Node is one ExSPAN engine instance: the PSN evaluator plus provenance
 // bookkeeping for a single network node. Evaluation state lives in one or
-// more worker shards (shard.go); with a single shard the node runs the
-// classic inline PSN drain, with several it runs batched parallel rounds
-// (rounds.go) whose fixpoint state matches the single-shard run exactly.
+// more worker shards (shard.go), and every node evaluates through the same
+// batched apply/fire/merge rounds (rounds.go) at any shard count; with
+// several shards the phases fan out in parallel, and the fixpoint state
+// matches the single-shard run exactly.
 type Node struct {
 	ID        types.NodeID
 	Prog      *Program
@@ -80,13 +81,6 @@ type Node struct {
 	// baseline side of planner-equivalence tests and benchmarks.
 	NoReplan bool
 
-	// PerSuspectRelease degrades ReleaseStaged to one staged item per wave
-	// — the maximally incremental baseline that BenchmarkDRedChurn measures
-	// the batched stratum waves against. Correctness is unaffected (release
-	// order is confluent); only the number of release/flush round trips
-	// changes.
-	PerSuspectRelease bool
-
 	// plans is the node's ACTIVE plan set, indexed [rule.idx][bodyPos].
 	// It starts as the program's compile-time default and is the only
 	// thing Replan swaps; the executor (exec.go) reads plans exclusively
@@ -110,12 +104,10 @@ type Node struct {
 	// alternative join orders.
 	statHook func(pred, idx string, est float64) float64
 
-	shards   []*shard
-	draining bool
-	// releasing is true while ReleaseStaged re-emits deferred work; on a
-	// sharded node it switches route() from round buffering (no round is
-	// active between driver-visible quiescence points) to direct owner-
-	// shard enqueueing.
+	shards []*shard
+	// releasing is true while ReleaseStaged re-emits deferred work; it
+	// switches route() from round buffering (release runs between rounds,
+	// at global quiescence) to direct owner-shard enqueueing.
 	releasing bool
 
 	// Round-runtime state (rounds.go). curRound is the node's monotone
@@ -125,8 +117,7 @@ type Node struct {
 	inRounds bool
 }
 
-// NewNode creates a single-shard engine node for the given compiled program
-// — the classic serial PSN evaluator.
+// NewNode creates a single-shard engine node for the given compiled program.
 func NewNode(id types.NodeID, prog *Program, mode ProvMode, tr Transport, alloc *algebra.VarAlloc) *Node {
 	return NewNodeSharded(id, prog, mode, tr, alloc, 1)
 }
@@ -194,17 +185,12 @@ func NewNodeSharded(id types.NodeID, prog *Program, mode ProvMode, tr Transport,
 	for i := range n.shards {
 		n.shards[i] = newShard(n, i, n.Store.Part(i))
 	}
-	if shards > 1 {
-		n.initRounds()
-	}
+	n.initRounds()
 	return n
 }
 
 // NumShards reports the node's worker shard count.
 func (n *Node) NumShards() int { return len(n.shards) }
-
-// rounds reports whether the node evaluates in batched round mode.
-func (n *Node) rounds() bool { return len(n.shards) > 1 }
 
 // ownerShard returns the worker shard owning a tuple: a content-derived
 // hash, so the assignment is reproducible across processes.
@@ -354,7 +340,7 @@ func (n *Node) HandleMessage(from types.NodeID, m *Message) {
 }
 
 // depositMessage routes a received delta to its owner shard without
-// draining — the Scheduler drives evaluation itself.
+// running it — the Scheduler drives evaluation itself.
 func (n *Node) depositMessage(from types.NodeID, m *Message) {
 	d, ok := n.messageDelta(from, m)
 	if !ok {
@@ -385,17 +371,12 @@ func (n *Node) messageDelta(from types.NodeID, m *Message) (localDelta, bool) {
 
 // ingest deposits one delta and runs the node to local quiescence.
 func (n *Node) ingest(d localDelta) {
-	if len(n.shards) == 1 {
-		n.shards[0].enqueue(d)
-		n.drain()
-		return
-	}
-	n.ownerShard(d.tuple).enqueue(d)
+	n.deposit(d)
 	n.runRounds()
 }
 
-// deposit routes a delta to its owner shard without draining — the
-// Scheduler drives sharded execution itself.
+// deposit routes a delta to its owner shard without running it — the
+// Scheduler drives execution itself.
 func (n *Node) deposit(d localDelta) { n.ownerShard(d.tuple).enqueue(d) }
 
 func (n *Node) fail(err error) {
@@ -435,8 +416,7 @@ func (n *Node) syncErr() {
 // the same call, so a true return always carries actionable work and a
 // false return means nothing is staged. The wave order is purely a
 // round-trip optimization — release order cannot affect the fixpoint
-// (engine/dred_test.go proves order independence) — and PerSuspectRelease
-// degrades the wave to single items for baseline measurement.
+// (engine/dred_test.go proves order independence).
 //
 // Correctness requires the cluster-wide deletion wave to have quiesced
 // first: releasing while delete messages are still in flight re-creates the
@@ -458,18 +438,10 @@ func (n *Node) ReleaseStaged() bool {
 		if stratum < 0 {
 			return false
 		}
-		var limit *int
-		if n.PerSuspectRelease {
-			one := 1
-			limit = &one
-		}
 		any := false
 		for _, sh := range n.shards {
-			if sh.releaseStratum(stratum, limit) {
+			if sh.releaseStratum(stratum) {
 				any = true
-			}
-			if limit != nil && *limit == 0 {
-				break
 			}
 		}
 		if any {
@@ -478,9 +450,8 @@ func (n *Node) ReleaseStaged() bool {
 	}
 }
 
-// Flush runs any pending deposited work to local quiescence under the
-// node's execution strategy (serial drain or sharded rounds).
-func (n *Node) Flush() { n.localFixpoint() }
+// Flush runs any pending deposited work to local quiescence.
+func (n *Node) Flush() { n.runRounds() }
 
 // ReleaseAndFlush performs one node's release pass: staged phase-2 work is
 // released and, when any was produced, run to local quiescence. It reports
@@ -519,32 +490,11 @@ func Settle(nodes ...*Node) {
 	}
 }
 
-// drain processes queued deltas FIFO until quiescent — the serial PSN
-// pipeline of a single-shard node.
-//
-//exspan:merge-phase
-func (n *Node) drain() {
-	if n.draining {
-		return
-	}
-	n.draining = true
-	defer func() { n.draining = false }()
-	sh := n.shards[0]
-	for sh.qhead < len(sh.queue) && sh.err == nil && n.Err == nil {
-		sh.process(sh.popDelta(), false)
-	}
-	if sh.qhead == len(sh.queue) {
-		sh.queue = sh.queue[:0]
-		sh.qhead = 0
-	}
-	n.syncErr()
-}
-
 // newMessage draws an outgoing message from the pool when the evaluation is
-// single-threaded (nil pool: plain allocation). Sharded fire phases run in
-// parallel, so they bypass the pool.
+// single-threaded (nil pool: plain allocation). Sharded fire phases may run
+// in parallel, so they bypass the pool.
 func (n *Node) newMessage() *Message {
-	if n.rounds() {
+	if len(n.shards) > 1 {
 		return new(Message)
 	}
 	return n.Msgs.Get()
@@ -552,8 +502,9 @@ func (n *Node) newMessage() *Message {
 
 // Centralized-mode helpers: provenance rows travel to the server as plain
 // prov/ruleExec tuples, whose byte sizes are charged like any message.
-// Centralized nodes are single-shard, so enqueueing on shard 0 is the
-// serial-mode local delivery.
+// Centralized nodes are single-shard and never fan out, so these send
+// directly from any phase, and the server's own rows enqueue on shard 0 for
+// the current or next apply phase.
 
 func (n *Node) sendProvRow(loc types.NodeID, vid, rid types.ID, rloc types.NodeID, sign int8) {
 	row := types.NewTuple("prov", types.Node(loc), types.IDVal(vid), types.IDVal(rid), types.Node(rloc))

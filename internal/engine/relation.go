@@ -40,9 +40,8 @@ type entry struct {
 	vidh    types.IDHandle // interned vid; keys the provenance store partition
 
 	// touchRound/startVis snapshot the entry's visibility at the start of
-	// the round that first touched it (rounds.go; unused in serial mode) —
-	// the reference point for net-change firing and old-state probe
-	// admission.
+	// the round that first touched it (rounds.go) — the reference point for
+	// net-change firing and old-state probe admission.
 	touchRound uint32
 
 	visible bool
@@ -111,7 +110,11 @@ func (e *entry) VIDBuf(buf []byte) (types.ID, []byte) {
 func (e *entry) vidHandle() types.IDHandle { return e.vidh }
 
 // Relation is a materialized table with hash indexes maintained
-// incrementally as tuples become visible and invisible.
+// incrementally as tuples become visible and invisible. Index insertions
+// happen when a tuple shows; removals and tombstone sweeps wait for the
+// round's merge barrier (Relation.unindex / maybeSweepRound), because fire
+// phases probe the indexes read-only against start-of-round state while the
+// owner shard applies its batch.
 //
 // Fully retracted entries are kept in the map as tombstones instead of
 // being deleted: under churn the same tuples are re-derived moments later,
@@ -127,12 +130,6 @@ type Relation struct {
 	dead    int    // invisible derivation-free entries retained for reuse
 	churn   int64  // total visibility transitions (planner drift signal)
 	scratch []byte // reusable key-encoding buffer
-
-	// deferMaint switches the relation to sharded-round maintenance:
-	// setVisible defers index removals and tombstone sweeps to the merge
-	// barrier (Relation.unindex / maybeSweepRound), because sibling shards
-	// probe the indexes read-only while the owner applies its batch.
-	deferMaint bool
 
 	// freeEntries recycles entry structs reclaimed by sweep; entryArena
 	// chunk-allocates fresh ones (boxing each entry individually was a
@@ -150,6 +147,19 @@ type Relation struct {
 
 const derivArenaChunk = 256
 
+// minArenaChunk is the first chunk every chunked arena carves. Each later
+// chunk doubles the exhausted one up to the arena's full chunk size, so the
+// many relations and shards that stay small (most relations of a large
+// sharded cluster hold a handful of tuples) never carve a full-size chunk,
+// while busy ones reach it after a few doublings.
+const minArenaChunk = 8
+
+// arenaChunk returns the capacity of an arena's next chunk given the
+// capacity of the exhausted one: double it, within [minArenaChunk, limit].
+func arenaChunk(prev, limit int) int {
+	return min(max(2*prev, minArenaChunk), limit)
+}
+
 // allocEntry returns a zeroed entry, recycling one swept earlier when
 // available and carving from the chunked arena otherwise.
 func (r *Relation) allocEntry() *entry {
@@ -160,7 +170,7 @@ func (r *Relation) allocEntry() *entry {
 		return e
 	}
 	if len(r.entryArena) == cap(r.entryArena) {
-		r.entryArena = make([]entry, 0, derivArenaChunk)
+		r.entryArena = make([]entry, 0, arenaChunk(cap(r.entryArena), derivArenaChunk))
 	}
 	r.entryArena = r.entryArena[:len(r.entryArena)+1]
 	return &r.entryArena[len(r.entryArena)-1]
@@ -170,7 +180,7 @@ func (r *Relation) allocEntry() *entry {
 // arena; entries with alternative derivations spill to a regular append.
 func (r *Relation) allocDerivs() []deriv {
 	if len(r.derivArena) == cap(r.derivArena) {
-		r.derivArena = make([]deriv, 0, derivArenaChunk)
+		r.derivArena = make([]deriv, 0, arenaChunk(cap(r.derivArena), derivArenaChunk))
 	}
 	n := len(r.derivArena)
 	r.derivArena = r.derivArena[:n+1]
@@ -303,10 +313,10 @@ func (r *Relation) getOrCreate(t types.Tuple) *entry {
 	return e
 }
 
-// setVisible inserts or removes the entry from all indexes. Under deferred
-// maintenance (sharded rounds) removals and sweeps wait for the merge
-// barrier: the entry stays indexed (filtered by probe admission) until
-// unindex, and tombstones are only reclaimed by maybeSweepRound.
+// setVisible flips the entry's visibility. Showing indexes it (unless it
+// never left the indexes this round); hiding leaves it indexed — filtered
+// by probe admission — until the merge barrier's unindex, and a hidden
+// derivation-free entry becomes a tombstone for maybeSweepRound.
 func (r *Relation) setVisible(e *entry, visible bool) {
 	if e.visible == visible {
 		return
@@ -315,53 +325,19 @@ func (r *Relation) setVisible(e *entry, visible bool) {
 	r.churn++
 	if visible {
 		r.visible++
-	} else {
-		r.visible--
-	}
-	if r.deferMaint {
-		if visible && !e.indexed {
+		if !e.indexed {
 			r.indexAdd(e)
-		}
-		if !visible && len(e.derivs) == 0 {
-			r.dead++
 		}
 		return
 	}
-	for _, idx := range r.indexes {
-		r.scratch = appendIndexKey(r.scratch[:0], e.tuple, idx.positions)
-		if visible {
-			idx.add(r.scratch, e)
-		} else {
-			idx.remove(r.scratch, e)
-		}
-	}
-	if !visible && len(e.derivs) == 0 {
-		// Tombstone the entry for reuse rather than deleting it. Its fields
-		// are left untouched — the caller is still mid-retraction and fires
-		// the delete cascade with e.payload; getOrCreate resets state on
-		// revival.
+	r.visible--
+	if len(e.derivs) == 0 {
 		r.dead++
-		if r.sweepDue() {
-			r.sweep(e)
-		}
 	}
 }
 
-// sweepDue reports whether tombstones dominate the live population — the
-// single threshold every sweep trigger (inline, noteDead, merge barrier)
-// shares.
+// sweepDue reports whether tombstones dominate the live population.
 func (r *Relation) sweepDue() bool { return r.dead > 128 && r.dead > 2*r.visible }
-
-// noteDead counts an entry that became derivation-free while already
-// invisible — the over-delete path hides a suspect before its last
-// derivation is consumed, so setVisible's tombstone accounting never sees
-// the transition. Sweeping is deferred to the usual thresholds.
-func (r *Relation) noteDead(e *entry) {
-	r.dead++
-	if !r.deferMaint && r.sweepDue() {
-		r.sweep(e)
-	}
-}
 
 // indexAdd inserts the entry into every index of the relation.
 func (r *Relation) indexAdd(e *entry) {
@@ -372,8 +348,8 @@ func (r *Relation) indexAdd(e *entry) {
 	e.indexed = true
 }
 
-// unindex removes the entry from every index (deferred maintenance; called
-// at the merge barrier for entries whose round netted to invisible).
+// unindex removes the entry from every index (called at the merge barrier
+// for entries whose round netted to invisible).
 func (r *Relation) unindex(e *entry) {
 	for _, idx := range r.indexes {
 		r.scratch = appendIndexKey(r.scratch[:0], e.tuple, idx.positions)
@@ -383,23 +359,20 @@ func (r *Relation) unindex(e *entry) {
 }
 
 // maybeSweepRound reclaims tombstones at the merge barrier once they
-// dominate the live population — the deferred-maintenance counterpart of
-// the sweep setVisible triggers inline.
+// dominate the live population. No fire phase is running then, so no
+// caller still reads a swept entry.
 func (r *Relation) maybeSweepRound() {
 	if r.sweepDue() {
-		r.sweep(nil)
+		r.sweep()
 	}
 }
 
-// sweep deletes all tombstones except spare, bounding retained memory to a
-// small factor of the live entry count. Swept entries are cleared
-// (releasing their tuples) and recycled through the free list.
-// spare is the entry whose retraction triggered the sweep: its caller is
-// still mid-cascade and reads its payload and cached VID after this
-// returns, so it must survive untouched.
-func (r *Relation) sweep(spare *entry) {
+// sweep deletes all tombstones, bounding retained memory to a small factor
+// of the live entry count. Swept entries are cleared (releasing their
+// tuples) and recycled through the free list.
+func (r *Relation) sweep() {
 	for k, e := range r.entries {
-		if e != spare && !e.visible && len(e.derivs) == 0 && !e.staged {
+		if !e.visible && len(e.derivs) == 0 && !e.staged {
 			delete(r.entries, k)
 			*e = entry{}
 			//exspanlint:nondeterministic-ok free-list order only decides which cleared box getOrCreate reuses; entry pointer identity never reaches state, ordering or the wire
@@ -407,9 +380,6 @@ func (r *Relation) sweep(spare *entry) {
 		}
 	}
 	r.dead = 0
-	if spare != nil {
-		r.dead = 1 // the spared tombstone remains
-	}
 }
 
 func removeEntry(list []*entry, e *entry) []*entry {

@@ -7,23 +7,26 @@ import (
 	"sync"
 
 	"repro/internal/bdd"
+	"repro/internal/provenance"
 	"repro/internal/types"
 )
 
-// This file is the engine's RUNTIME layer for sharded nodes: a batched
-// round executor that replaces the serial inline drain when a node has more
-// than one worker shard. Each round has three phases:
+// This file is the engine's RUNTIME layer: the batched round executor every
+// node evaluates through, whatever its worker shard count. Each round has
+// three phases:
 //
 //  1. APPLY (parallel over shards). Every shard drains its own ring of
 //     deltas, mutating only state it owns: relation entries, index
 //     postings, prov rows in its store partition, aggregate groups routed
-//     to it. Firing is deferred — the shard records the round's net
-//     visibility transitions (markTouched) and incoming event deltas.
+//     to it. Firing is deferred — the shard records the round's touched
+//     entries (markTouched) and incoming event deltas.
 //  2. FIRE (parallel over shards). State is frozen; shards evaluate rule
-//     plans for their net transitions, probing every shard's indexes
-//     read-only under the batched semi-naïve old/new discipline (exec.go).
-//     Derivations are buffered: local head deltas, aggregate updates for
-//     other shards' groups, outbound messages, deferred ruleExec rows.
+//     plans for each touched entry's net change — a visibility transition,
+//     or in value mode a payload change of a tuple visible throughout —
+//     probing every shard's indexes read-only under the batched semi-naïve
+//     old/new discipline (exec.go). Derivations are buffered: local head
+//     deltas, aggregate updates for the groups' owner shards, outbound
+//     messages, deferred ruleExec rows.
 //  3. MERGE (parallel over destinations). Fire-phase buffers are bucketed
 //     by destination shard at emit time, so the barrier commits
 //     per-destination: one worker per shard d runs d's deferred index
@@ -31,37 +34,42 @@ import (
 //     homed in partition d, and drains every source's d-destined deltas
 //     and aggregate updates into d's next-round rings — always visiting
 //     sources in shard-index order, so each destination sees exactly the
-//     sequence the old serial barrier produced. Destinations own disjoint
-//     state (their relations, store partition, rings), so the workers
-//     cannot race; the transport flush and deferred provenance-change
-//     notifications stay serial, in shard order, after the workers join.
+//     sequence an inline, shard-ordered barrier produces. Destinations own
+//     disjoint state (their relations, store partition, rings), so the
+//     workers cannot race; the transport flush and deferred provenance-
+//     change notifications stay serial, in shard order, after the workers
+//     join.
 //
 // Rounds repeat until no shard has pending work. For a fixed shard count
 // the execution is fully deterministic; across shard counts the fixpoint
 // state (relations, provenance rows, counters of net derivations) is
 // identical, while transient aggregate outputs may be elided by batching
-// (see ARCHITECTURE.md "Sharded runtime").
+// (see ARCHITECTURE.md "Round executor").
 //
-// All three phases run inline, in shard order, when the host has no
-// parallelism (GOMAXPROCS=1) or the round's occupancy is below
-// minFanOutWork — the adaptive gate: parallel and inline execution are
-// bit-identical by construction, so thin rounds skip the goroutine handoff
-// and small nodes collapse to the serial path regardless of the configured
-// shard count.
+// All three phases run inline, in shard order, on a single-shard node, when
+// the host has no parallelism (GOMAXPROCS=1), or when the round's occupancy
+// is below minFanOutWork — the adaptive gate: parallel and inline execution
+// are bit-identical by construction, so thin rounds skip the goroutine
+// handoff.
 
 // fireItem is one deferred firing: either an event delta (fires with its
-// own sign) or a stored entry touched this round (fires with its net
-// visibility transition, or not at all when the batch nets to zero).
+// own sign and payload) or a stored entry touched this round (fires with its
+// net change, or not at all when the batch nets to zero).
 type fireItem struct {
-	tuple   types.Tuple
-	occs    []occurrence
-	ent     *entry    // nil for events
-	rel     *Relation // owning relation, for deferred index maintenance
-	sign    int8      // events only; stored entries resolve at fire time
+	tuple types.Tuple
+	occs  []occurrence
+	ent   *entry    // nil for events
+	rel   *Relation // owning relation, for deferred index maintenance
+	// payload is an event's provenance payload, or a stored entry's
+	// payload at its first touch of the round (value mode).
+	payload bdd.Ref
+	sign    int8 // events only; stored entries resolve at fire time
 	isEvent bool
 }
 
 // aggItem is one aggregate-group update shipped to the group's owner shard.
+// groupVals and carried alias the source shard's round arena (roundArgs),
+// valid until that shard's next fire phase; the group copies what it keeps.
 type aggItem struct {
 	rule      *CompiledRule
 	groupVals []types.Value
@@ -69,6 +77,7 @@ type aggItem struct {
 	carried   []types.Value
 	input     types.Tuple
 	sign      int8
+	payload   bdd.Ref // Update items: the input's new value-mode payload
 }
 
 // outMsg is one buffered cross-node message.
@@ -104,7 +113,11 @@ type roundShard struct {
 	aggIn    []aggItem
 	reOps    [][]reOp
 	reVIDs   []types.ID
-	keyBufs  [][]byte // per-plan-step probe keys (exec.go round probing)
+	keyBufs  [][]byte // per-plan-step probe keys (exec.go join probing)
+	// aggVals backs the group and carried values of this shard's outbound
+	// aggItems. It is reset at the start of the shard's fire phase: by then
+	// every item of the previous round has been applied by its owner.
+	aggVals []types.Value
 }
 
 // initRounds sizes the per-shard round state once the shard set is final.
@@ -138,7 +151,7 @@ func (sh *shard) markTouched(rel *Relation, e *entry, occs []occurrence) {
 	}
 	e.touchRound = sh.n.curRound
 	e.startVis = e.visible
-	sh.rs.fires = append(sh.rs.fires, fireItem{tuple: e.tuple, occs: occs, ent: e, rel: rel})
+	sh.rs.fires = append(sh.rs.fires, fireItem{tuple: e.tuple, occs: occs, ent: e, rel: rel, payload: e.payload})
 }
 
 // applyPhase drains the shard's delta ring and applies aggregate updates
@@ -147,7 +160,7 @@ func (sh *shard) markTouched(rel *Relation, e *entry, occs []occurrence) {
 //exspan:hotpath
 func (sh *shard) applyPhase() {
 	for sh.qhead < len(sh.queue) && sh.err == nil {
-		sh.process(sh.popDelta(), true)
+		sh.process(sh.popDelta())
 	}
 	if sh.qhead == len(sh.queue) {
 		sh.queue = sh.queue[:0]
@@ -164,51 +177,52 @@ func (sh *shard) applyPhase() {
 }
 
 // firePhase evaluates the deferred firings against the frozen post-apply
-// state. Stored entries whose batch netted to zero are skipped; the rest
-// fire once with their net sign.
+// state. Stored entries fire once with their net change: Insert or Delete
+// for a visibility transition, Update (value mode) for a payload change of
+// a tuple visible at both ends of the round, nothing when the batch nets to
+// zero.
 //
 //exspan:hotpath
 func (sh *shard) firePhase() {
+	sh.rs.aggVals = sh.rs.aggVals[:0]
 	for i := range sh.rs.fires {
 		if sh.err != nil {
 			return
 		}
 		it := &sh.rs.fires[i]
-		sign := it.sign
-		var ent *entry
+		sign, payload := it.sign, it.payload
+		ent := it.ent
 		if !it.isEvent {
-			e := it.ent
-			if e.startVis == e.visible {
+			switch {
+			case ent.startVis != ent.visible && ent.visible:
+				sign = Insert
+			case ent.startVis != ent.visible:
+				sign = Delete
+			case ent.visible && ent.payload != it.payload:
+				sign = Update
+			default:
 				continue // net zero: transient within the round
 			}
-			if e.visible {
-				sign = Insert
-			} else {
-				sign = Delete
-			}
-			ent = e
+			payload = ent.payload
 		}
 		for _, occ := range it.occs {
 			if occ.rule.agg != nil {
-				sh.fireAggRound(occ.rule, it.tuple, sign)
+				sh.shipAggUpdate(occ.rule, it.tuple, sign, payload)
 			} else {
-				payload := bdd.False
-				if ent != nil {
-					payload = ent.payload
-				}
 				sh.firePlan(occ.rule, occ.pos, it.tuple, sign, ent, payload)
 			}
 		}
 	}
 }
 
-// fireAggRound evaluates an aggregate rule's body for a net delta and ships
-// the group update to the group's owner shard (applied in its next apply
-// phase). Group values and carried values are copied out of scratch into
-// the shard's chunked value arena.
+// shipAggUpdate evaluates an aggregate rule's body for a net delta and
+// ships the group update to the group's owner shard (applied in its next
+// apply phase): aggregate groups are partitioned by group-key hash, so one
+// shard owns each group's whole input multiset. Group values and carried
+// values are copied out of scratch into the shard's round arena.
 //
 //exspan:hotpath
-func (sh *shard) fireAggRound(rule *CompiledRule, t types.Tuple, sign int8) {
+func (sh *shard) shipAggUpdate(rule *CompiledRule, t types.Tuple, sign int8, payload bdd.Ref) {
 	env, ok := sh.evalAggBody(rule, t)
 	if !ok {
 		return
@@ -225,13 +239,14 @@ func (sh *shard) fireAggRound(rule *CompiledRule, t types.Tuple, sign int8) {
 		groupVals[i] = v
 	}
 	sortVal, carried := sh.evalAggVals(rule, env)
-	gv := sh.allocArgs(len(groupVals))
-	copy(gv, groupVals)
-	cv := sh.allocArgs(len(carried))
-	copy(cv, carried)
+	off := len(sh.rs.aggVals)
+	sh.rs.aggVals = append(sh.rs.aggVals, groupVals...)
+	sh.rs.aggVals = append(sh.rs.aggVals, carried...)
+	gv := sh.rs.aggVals[off : off+len(groupVals) : off+len(groupVals)]
+	cv := sh.rs.aggVals[off+len(groupVals) : len(sh.rs.aggVals) : len(sh.rs.aggVals)]
 	dst := int(types.HashValues(gv) % uint64(len(sh.n.shards)))
 	sh.rs.outAgg[dst] = append(sh.rs.outAgg[dst], aggItem{
-		rule: rule, groupVals: gv, sortVal: sortVal, carried: cv, input: t, sign: sign,
+		rule: rule, groupVals: gv, sortVal: sortVal, carried: cv, input: t, sign: sign, payload: payload,
 	})
 }
 
@@ -247,6 +262,19 @@ func (sh *shard) applyAggItem(it *aggItem) {
 	}
 	sh.keyBuf = appendValuesKey(sh.keyBuf[:0], it.groupVals)
 	g := groups[string(sh.keyBuf)]
+	if it.sign == Update {
+		// Value-mode payload update: if the updated input is the current
+		// winner, the head's payload follows it.
+		if g != nil && g.hasOut && g.curWinner != nil && g.curWinner.input.Equal(it.input) {
+			out := g.curOut
+			out.Pred = rule.HeadPred
+			sh.vidBuf[0], sh.hashBuf = it.input.VIDBuf(sh.hashBuf)
+			var rid types.ID
+			rid, sh.ridBuf = types.RuleExecIDBuf(rule.Label, sh.n.ID, sh.vidBuf[:1], sh.ridBuf)
+			sh.route(out, sh.n.ID, Update, rid, it.payload)
+		}
+		return
+	}
 	if g == nil {
 		g = sh.allocAggGroup()
 		groups[string(sh.keyBuf)] = g
@@ -258,16 +286,28 @@ func (sh *shard) applyAggItem(it *aggItem) {
 	}
 }
 
-// deferRuleExecRow buffers a ruleExec-row change for the merge barrier,
-// bucketed by the RID's home partition.
-func (sh *shard) deferRuleExecRow(ridh types.IDHandle, rid types.ID, label string, inputVIDs []types.ID, sign int8) {
-	off := len(sh.rs.reVIDs)
+// ruleExecRow applies one ruleExec-partition row change in the RID's home
+// partition: inserts and deletes of the same RID may fire on different
+// shards (whichever shard owned the triggering delta), so every op lands in
+// one partition, keeping each add/del pair in one map. The firing shard
+// owns its own partition, which no other shard writes before the merge
+// barrier, so ops homed there apply in place; the rest are buffered for the
+// barrier, bucketed by home partition.
+//
+//exspan:hotpath
+func (sh *shard) ruleExecRow(ridh types.IDHandle, rid types.ID, label string, inputVIDs []types.ID, sign int8) {
+	dst := sh.n.ridHomeIdx(rid)
+	if dst == sh.idx {
+		applyRuleExecOp(sh.store, ridh, rid, label, inputVIDs, sign)
+		return
+	}
+	off, k := len(sh.rs.reVIDs), 0
 	if sign == Insert { // deletes never materialize a new row; skip the copy
 		sh.rs.reVIDs = append(sh.rs.reVIDs, inputVIDs...)
+		k = len(inputVIDs)
 	}
-	dst := sh.n.ridHomeIdx(rid)
 	sh.rs.reOps[dst] = append(sh.rs.reOps[dst], reOp{
-		ridh: ridh, rid: rid, label: label, sign: sign, vidOff: off, vidLen: len(inputVIDs),
+		ridh: ridh, rid: rid, label: label, sign: sign, vidOff: off, vidLen: k,
 	})
 }
 
@@ -287,19 +327,25 @@ func (sh *shard) replayRuleExecOpsTo(d int) {
 	ops := sh.rs.reOps[d]
 	for i := range ops {
 		op := &ops[i]
-		switch {
-		case op.sign == Insert && op.ridh != 0:
-			part.AddRuleExecH(op.ridh, op.rid, op.label, sh.rs.reVIDs[op.vidOff:op.vidOff+op.vidLen])
-		case op.sign == Insert:
-			part.AddRuleExec(op.rid, op.label, sh.rs.reVIDs[op.vidOff:op.vidOff+op.vidLen])
-		case op.ridh != 0:
-			part.DelRuleExecH(op.ridh)
-		default:
-			part.DelRuleExec(op.rid)
-		}
+		applyRuleExecOp(part, op.ridh, op.rid, op.label, sh.rs.reVIDs[op.vidOff:op.vidOff+op.vidLen], op.sign)
 		ops[i] = reOp{}
 	}
 	sh.rs.reOps[d] = ops[:0]
+}
+
+// applyRuleExecOp applies one ruleExec-row change to a store partition,
+// through the handle-keyed API when the RID memo supplied a handle.
+func applyRuleExecOp(part *provenance.Partition, ridh types.IDHandle, rid types.ID, label string, inputVIDs []types.ID, sign int8) {
+	switch {
+	case sign == Insert && ridh != 0:
+		part.AddRuleExecH(ridh, rid, label, inputVIDs)
+	case sign == Insert:
+		part.AddRuleExec(rid, label, inputVIDs)
+	case ridh != 0:
+		part.DelRuleExecH(ridh)
+	default:
+		part.DelRuleExec(rid)
+	}
 }
 
 // mergeShard commits destination d's slice of the merge barrier: shard d's
@@ -307,8 +353,8 @@ func (sh *shard) replayRuleExecOpsTo(d int) {
 // shard's ruleExec ops homed in partition d, and the drain of every
 // source's d-destined local deltas and aggregate updates into d's
 // next-round rings. Sources are visited in shard-index order, so the
-// per-destination sequence is exactly the subsequence the old serial
-// barrier fed this destination — bit-identity across worker schedules is
+// per-destination sequence is exactly the subsequence an inline barrier
+// feeds this destination — bit-identity across worker schedules is
 // by construction. Every structure touched is owned by destination d
 // (its relations and entries, its store partition, its rings) or is a
 // d-indexed bucket of a source's emit buffers, so concurrent mergeShard
@@ -350,28 +396,12 @@ func (n *Node) mergeShard(d int) {
 	}
 }
 
-// mergeRound is the barrier closing one round. Destination commits fan out
-// across workers (or run inline in shard order — identical results either
-// way); the transport flush stays serial in shard-index order, so the wire
-// sees one deterministic sequence regardless of goroutine scheduling.
+// flushRound closes a round after every destination has merged: the
+// transport flush runs serially in shard-index order, so the wire sees one
+// deterministic sequence regardless of goroutine scheduling.
 //
 //exspan:merge-phase
-func (n *Node) mergeRound(fanOut bool) {
-	if fanOut {
-		var wg sync.WaitGroup
-		wg.Add(len(n.shards))
-		for d := range n.shards {
-			go func(d int) {
-				defer wg.Done()
-				n.mergeShard(d)
-			}(d)
-		}
-		wg.Wait()
-	} else {
-		for d := range n.shards {
-			n.mergeShard(d)
-		}
-	}
+func (n *Node) flushRound() {
 	for _, sh := range n.shards {
 		for i := range sh.rs.outMsgs {
 			om := sh.rs.outMsgs[i]
@@ -422,10 +452,9 @@ func (n *Node) roundWork() int {
 }
 
 // runRounds executes batched rounds until the node is locally quiescent.
-// Apply and fire phases fan out across shard goroutines; merge runs on the
-// calling goroutine. Re-entrant calls (a synchronous transport delivering a
-// message back to this node mid-merge) just deposit and return — the outer
-// loop picks the work up next round.
+// Re-entrant calls (a synchronous transport delivering a message back to
+// this node mid-merge) just deposit and return — the outer loop picks the
+// work up next round.
 //
 //exspan:merge-phase
 func (n *Node) runRounds() {
@@ -435,46 +464,67 @@ func (n *Node) runRounds() {
 	n.inRounds = true
 	defer func() { n.inRounds = false }()
 	// Phase results are goroutine-schedule-independent by construction, so
-	// on a single-CPU host the fan-out is pure overhead and the phases run
-	// inline in shard order instead; parallel hosts make the same inline
-	// collapse per round when occupancy is below minFanOutWork.
-	parallel := runtime.GOMAXPROCS(0) > 1
-	var wg sync.WaitGroup
+	// a lone shard or a single-CPU host runs every round inline in shard
+	// order; parallel hosts make the same inline collapse per round when
+	// occupancy is below minFanOutWork.
+	parallel := len(n.shards) > 1 && runtime.GOMAXPROCS(0) > 1
 	for n.Err == nil && n.anyPending() {
-		fanOut := parallel && n.roundWork() >= minFanOutWork
 		n.curRound++
 		n.Store.DeferChanges()
-		for _, sh := range n.shards {
-			if !sh.pending() {
-				continue
+		if parallel && n.roundWork() >= minFanOutWork {
+			n.fanOutRound()
+		} else {
+			for _, sh := range n.shards {
+				if sh.pending() {
+					sh.applyPhase()
+				}
 			}
-			if !fanOut {
-				sh.applyPhase()
-				continue
+			for _, sh := range n.shards {
+				if len(sh.rs.fires) > 0 {
+					sh.firePhase()
+				}
 			}
-			wg.Add(1)
-			go func(sh *shard) {
-				defer wg.Done()
-				sh.applyPhase()
-			}(sh)
+			for d := range n.shards {
+				n.mergeShard(d)
+			}
 		}
-		wg.Wait()
-		for _, sh := range n.shards {
-			if len(sh.rs.fires) == 0 {
-				continue
-			}
-			if !fanOut {
-				sh.firePhase()
-				continue
-			}
-			wg.Add(1)
-			go func(sh *shard) {
-				defer wg.Done()
-				sh.firePhase()
-			}(sh)
-		}
-		wg.Wait()
-		n.mergeRound(fanOut)
+		n.flushRound()
 		n.Store.FlushDeferred()
 	}
+}
+
+// fanOutRound runs one round's apply, fire and merge phases on one
+// goroutine per shard, with a barrier after each phase.
+//
+//exspan:merge-phase
+func (n *Node) fanOutRound() {
+	var wg sync.WaitGroup
+	for _, sh := range n.shards {
+		if sh.pending() {
+			wg.Add(1)
+			go func(sh *shard) {
+				defer wg.Done()
+				sh.applyPhase()
+			}(sh)
+		}
+	}
+	wg.Wait()
+	for _, sh := range n.shards {
+		if len(sh.rs.fires) > 0 {
+			wg.Add(1)
+			go func(sh *shard) {
+				defer wg.Done()
+				sh.firePhase()
+			}(sh)
+		}
+	}
+	wg.Wait()
+	wg.Add(len(n.shards))
+	for d := range n.shards {
+		go func(d int) {
+			defer wg.Done()
+			n.mergeShard(d)
+		}(d)
+	}
+	wg.Wait()
 }

@@ -195,7 +195,7 @@ func (s *Scheduler) runLocal(active []*Node) {
 	}
 	if w <= 1 {
 		for _, n := range active {
-			n.localFixpoint()
+			n.runRounds()
 		}
 		return
 	}
@@ -210,25 +210,11 @@ func (s *Scheduler) runLocal(active []*Node) {
 				if i >= len(active) {
 					return
 				}
-				active[i].localFixpoint()
+				active[i].runRounds()
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// localFixpoint drains the node to local quiescence under its own execution
-// strategy (serial inline drain or sharded rounds), with outbound messages
-// buffered by the scheduler transport.
-func (n *Node) localFixpoint() {
-	if n.Err != nil {
-		return
-	}
-	if n.rounds() {
-		n.runRounds()
-		return
-	}
-	n.drain()
 }
 
 // deliver moves staged messages into destination shard rings in (source

@@ -13,10 +13,11 @@ import (
 
 // These tests pin the sharded runtime's equivalence contract: for any shard
 // count, the fixpoint state — visible tuples per node and predicate, prov
-// and ruleExec row sets — matches the serial single-shard engine exactly,
+// and ruleExec row sets — matches the single-shard engine exactly,
 // from-scratch and under delete/re-insert churn. They run the same random
-// topologies through the serial engine (the pre-sharding code path), a
-// one-shard scheduler and a multi-shard scheduler, and diff the outcomes.
+// topologies through "serial" reference nodes (one shard each, one delta per
+// ingest, synchronous transport), a one-shard scheduler and a multi-shard
+// scheduler, and diff the outcomes.
 
 // randomLinks generates a connected random graph: a spanning tree plus a few
 // extra edges, deduplicated (parallel links with distinct costs drive the
@@ -104,11 +105,12 @@ func runSched(t *testing.T, prog *Program, mode ProvMode, nNodes, shards, worker
 	return s
 }
 
-// runSerialRef computes the same script on the pre-sharding serial engine
-// (plain NewNode + synchronous FIFO transport). The transport cascades to
-// global quiescence inside every InsertBase/DeleteBase, so each op is
-// followed by a Settle releasing the retraction protocol's staged
-// re-derivations — the serial analogue of the drivers' idle-point release.
+// runSerialRef computes the same script on single-shard nodes ingesting one
+// delta at a time (plain NewNode + synchronous FIFO transport). The
+// transport cascades to global quiescence inside every InsertBase/
+// DeleteBase, so each op is followed by a Settle releasing the retraction
+// protocol's staged re-derivations — the serial analogue of the simulator's
+// idle-point release.
 func runSerialRef(t *testing.T, prog *Program, mode ProvMode, nNodes int,
 	edges [][2]int, churn [][2]int, costs map[[2]int]int64) []*Node {
 	t.Helper()
@@ -343,4 +345,54 @@ func TestShardedNodeUnderSyncTransport(t *testing.T) {
 	diffStates(t, "sync transport shards=3", nNodes, preds,
 		func(i int) *Node { return serial[i] },
 		func(i int) *Node { return nodes[i] })
+}
+
+// TestRoundCreatesAndDestroysDerivation: one round inserts the first body
+// atom of a derivation and deletes the second, so the derivation exists
+// neither before nor after the round. The fire phase must emit nothing for
+// it: an Insert and a Delete fired from the two atoms' items would cancel
+// only if applied in that order, and a Delete that overtakes its Insert is
+// dropped, leaving a phantom head and ruleExec row.
+func TestRoundCreatesAndDestroysDerivation(t *testing.T) {
+	prog, err := Compile(ndlog.MustParse(`r1 h(@X,A,B) :- p(@X,A), q(@X,B).`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := types.NewTuple("p", types.Node(0), types.Int(1))
+	q := types.NewTuple("q", types.Node(0), types.Int(2))
+	for _, shards := range []int{1, 2, 4} {
+		s := NewScheduler(prog, ProvReference, 1, shards, 1)
+		s.InsertBase(0, q)
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		// Delete q ahead of inserting p, so q's fire item comes first.
+		s.DeleteBase(0, q)
+		s.InsertBase(0, p)
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		n := s.Node(0)
+		if got := n.Tuples("h"); len(got) != 0 {
+			t.Errorf("shards=%d: phantom derivation %v", shards, got)
+		}
+		if rows := n.Store.NumRuleExec(); rows != 0 {
+			t.Errorf("shards=%d: %d ruleExec rows for a derivation that never existed", shards, rows)
+		}
+		// The derivation still appears and retracts normally.
+		s.InsertBase(0, q)
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := n.Tuples("h"); len(got) != 1 {
+			t.Errorf("shards=%d: h = %v after re-inserting q, want one tuple", shards, got)
+		}
+		s.DeleteBase(0, p)
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got, rows := n.Tuples("h"), n.Store.NumRuleExec(); len(got) != 0 || rows != 0 {
+			t.Errorf("shards=%d: %v and %d ruleExec rows survive deleting p", shards, got, rows)
+		}
+	}
 }

@@ -9,12 +9,11 @@ import (
 
 // This file is the engine's WORKER (shard) layer. A shard owns one
 // hash-partition of a node's evaluation state — relations, join indexes,
-// aggregate groups, a provenance-store partition — plus its own drain ring,
-// scratch arenas and RID memo. A single-shard node (the default) runs the
-// exact pre-sharding pipeline: process() applies a delta and fires rules
-// inline, FIFO, to local quiescence. With several shards, the runtime layer
-// (rounds.go) drives shards through batched apply/fire phases instead; the
-// round-only code paths are all guarded by node.rounds().
+// aggregate groups, a provenance-store partition — plus its own delta ring,
+// scratch arenas and RID memo. process() applies one delta to owned state
+// and records the entry it touched; the runtime layer (rounds.go) drives
+// every shard, at any shard count, through batched apply/fire/merge rounds
+// that fire rules for each touched entry's net change.
 //
 // Ownership: a tuple belongs to the shard selected by its content hash
 // (types.Tuple.ContentHash — stable across processes). The owner is the only
@@ -69,8 +68,7 @@ type shard struct {
 
 	// Per-shard scratch arenas, sized at program-compile time and reused
 	// across rule firings. Safe because firing never re-enters the
-	// evaluator: derived deltas are enqueued and processed by drain (or
-	// buffered for the next round).
+	// evaluator: derived deltas are buffered for the next round.
 	//
 	// owned by: the owner shard's rule firing
 	envBuf     []types.Value
@@ -117,7 +115,7 @@ type shard struct {
 	stagedGroups []stagedGroup
 
 	// err records the first evaluation error raised on this shard; the
-	// merge barrier (or serial drain) propagates it to Node.Err.
+	// merge barrier propagates it to Node.Err.
 	//
 	// owned by: the owner shard; folded into Node.Err at the barrier
 	err error
@@ -136,14 +134,14 @@ type shard struct {
 	condStats []condStat
 
 	// fireAtomPos/fireIsEvent describe the delta currently being fired
-	// (set by firePlan); round-mode join probes use them to pick the
-	// old/new admission side.
+	// (set by firePlan); join probes use them to pick the old/new
+	// admission side.
 	//
 	// owned by: the owner shard's fire phase
 	fireAtomPos int
 	fireIsEvent bool
 
-	// Round-mode state; see rounds.go.
+	// Round-runtime state; see rounds.go.
 	//
 	// owned by: the owner shard's phases and the merge workers
 	rs roundShard
@@ -164,12 +162,10 @@ func newShard(n *Node, idx int, store *provenance.Partition) *shard {
 	// Pre-create relations, the indexes every join plan needs, and the
 	// per-join compiled handles. Joins against event atoms keep a nil
 	// handle: events never materialize, so such probes match nothing.
-	sharded := n.NumShards() > 1 // NumShards is fixed before newShard runs
 	sh.tablesByID = make([]*Relation, prog.numTables)
 	for _, info := range prog.Preds() {
 		if !info.Event {
 			rel := NewRelation(info.Name)
-			rel.deferMaint = sharded
 			sh.tables[info.Name] = rel
 			sh.tablesByID[info.tableID] = rel
 		}
@@ -222,7 +218,6 @@ func (sh *shard) table(pred string) *Relation {
 	t := sh.tables[pred]
 	if t == nil {
 		t = NewRelation(pred)
-		t.deferMaint = sh.n.NumShards() > 1
 		sh.tables[pred] = t
 		sh.extraTables = append(sh.extraTables, t)
 	}
@@ -238,7 +233,7 @@ func (sh *shard) fail(err error) {
 //exspan:hotpath
 func (sh *shard) enqueue(d localDelta) { sh.queue = append(sh.queue, d) }
 
-// popDelta removes and returns the next pending delta of the drain ring.
+// popDelta removes and returns the next pending delta of the delta ring.
 // The queue is a head-index ring over one slice: popping advances qhead
 // instead of re-slicing, and the slice capacity is reused across bursts
 // rather than re-allocated per enqueue wave.
@@ -268,13 +263,13 @@ func (sh *shard) popDelta() localDelta {
 
 func (sh *shard) pending() bool { return sh.qhead < len(sh.queue) || len(sh.rs.aggIn) > 0 }
 
-// process applies one delta to this shard's state and — in serial mode —
-// fires the triggered rules inline. In round mode (rm true) firing is
-// deferred: the delta's net visibility effect is recorded via markTouched
-// and evaluated by the fire phase (rounds.go).
+// process applies one delta to this shard's state (the apply phase). Firing
+// is deferred: the delta's net effect — a visibility transition or, in
+// value mode, a payload change — is recorded via markTouched and evaluated
+// by the fire phase (rounds.go).
 //
 //exspan:hotpath
-func (sh *shard) process(d localDelta, rm bool) {
+func (sh *shard) process(d localDelta) {
 	n := sh.n
 	sh.deltasProcessed++
 	info := n.Prog.Pred(d.tuple.Pred)
@@ -314,11 +309,7 @@ func (sh *shard) process(d localDelta, rm bool) {
 			vid, sh.hashBuf = d.tuple.VIDBuf(sh.hashBuf)
 			n.sendProvRow(n.ID, vid, types.ZeroID, n.ID, d.sign)
 		}
-		if rm {
-			sh.rs.fires = append(sh.rs.fires, fireItem{tuple: d.tuple, occs: occs, sign: d.sign, isEvent: true})
-		} else {
-			sh.fireAll(occs, d.tuple, d.sign, nil, d.payload)
-		}
+		sh.rs.fires = append(sh.rs.fires, fireItem{tuple: d.tuple, occs: occs, sign: d.sign, isEvent: true, payload: d.payload})
 		return
 	}
 
@@ -336,9 +327,7 @@ func (sh *shard) process(d localDelta, rm bool) {
 	switch d.sign {
 	case Insert:
 		e := rel.getOrCreate(d.tuple)
-		if rm {
-			sh.markTouched(rel, e, occs)
-		}
+		sh.markTouched(rel, e, occs)
 		dv := e.findDeriv(d.rid)
 		if dv == nil {
 			dv = e.addDeriv(d.rid, d.rloc)
@@ -348,9 +337,10 @@ func (sh *shard) process(d localDelta, rm bool) {
 		// each stored tuple is hashed at most once per lifetime regardless
 		// of how many deltas and provenance branches touch it, and store
 		// partitions are addressed by the 4-byte handle.
-		if rm {
+		if len(n.shards) > 1 {
 			// Sibling shards read the VID during the frozen fire phase;
-			// computing it here keeps that phase free of entry mutation.
+			// computing it here keeps that phase free of entry mutation. A
+			// lone shard fires on this goroutine and hashes lazily.
 			_, sh.hashBuf = e.VIDBuf(sh.hashBuf)
 		}
 		if n.Mode == ProvReference && !meta {
@@ -371,7 +361,6 @@ func (sh *shard) process(d localDelta, rm bool) {
 			vid, sh.hashBuf = e.VIDBuf(sh.hashBuf)
 			n.sendProvRow(n.ID, vid, types.ZeroID, n.ID, Insert)
 		}
-		payloadChanged := false
 		if n.Mode == ProvValue {
 			if d.isBase {
 				var vid types.ID
@@ -382,24 +371,15 @@ func (sh *shard) process(d localDelta, rm bool) {
 			} else {
 				dv.payload = d.payload
 			}
-			payloadChanged = sh.recomputePayload(e)
+			sh.recomputePayload(e)
 		}
-		if !e.visible {
-			if e.staged {
-				// Retraction phase 1: a suspect absorbs new support
-				// silently. Re-showing it here would let the insert wave
-				// race the still-running deletion wave around derivation
-				// cycles (a hide/show flap that never quiesces); the
-				// release re-shows it — with this derivation counted —
-				// once the deletion wave is done.
-				return
-			}
+		// Retraction phase 1: a staged suspect absorbs new support silently.
+		// Re-showing it here would let the insert wave race the still-
+		// running deletion wave around derivation cycles (a hide/show flap
+		// that never quiesces); the release re-shows it — with this
+		// derivation counted — once the deletion wave is done.
+		if !e.staged {
 			rel.setVisible(e, true)
-			if !rm {
-				sh.fireAll(occs, d.tuple, Insert, e, e.payload)
-			}
-		} else if payloadChanged {
-			sh.fireAll(occs, d.tuple, Update, e, e.payload)
 		}
 
 	case Delete:
@@ -411,9 +391,7 @@ func (sh *shard) process(d localDelta, rm bool) {
 		if dv == nil {
 			return
 		}
-		if rm {
-			sh.markTouched(rel, e, occs)
-		}
+		sh.markTouched(rel, e, occs)
 		dv.count--
 		removed := dv.count <= 0
 		if removed {
@@ -432,13 +410,10 @@ func (sh *shard) process(d localDelta, rm bool) {
 		case len(e.derivs) == 0:
 			if e.visible {
 				rel.setVisible(e, false)
-				if !rm {
-					sh.fireAll(occs, d.tuple, Delete, e, e.payload)
-				}
 			} else {
 				// A suspect lost its last alternate while hidden; record the
 				// tombstone transition setVisible never observed.
-				rel.noteDead(e)
+				rel.dead++
 			}
 		case removed && e.visible && info != nil && info.Recursive && !meta:
 			// Over-deletion (retraction phase 1): a recursive tuple that
@@ -449,13 +424,8 @@ func (sh *shard) process(d localDelta, rm bool) {
 			// "Deletion semantics").
 			rel.setVisible(e, false)
 			sh.stageEntry(e)
-			if !rm {
-				sh.fireAll(occs, d.tuple, Delete, e, e.payload)
-			}
-		case n.Mode == ProvValue && sh.recomputePayload(e):
-			if e.visible {
-				sh.fireAll(occs, d.tuple, Update, e, e.payload)
-			}
+		case n.Mode == ProvValue:
+			sh.recomputePayload(e)
 		}
 
 	case rederive:
@@ -466,16 +436,11 @@ func (sh *shard) process(d localDelta, rm bool) {
 		if e == nil || e.visible || len(e.derivs) == 0 {
 			return
 		}
-		if rm {
-			sh.markTouched(rel, e, occs)
-		}
+		sh.markTouched(rel, e, occs)
 		if n.Mode == ProvValue {
 			sh.recomputePayload(e)
 		}
 		rel.setVisible(e, true)
-		if !rm {
-			sh.fireAll(occs, d.tuple, Insert, e, e.payload)
-		}
 
 	case Update:
 		if n.Mode != ProvValue {
@@ -489,12 +454,12 @@ func (sh *shard) process(d localDelta, rm bool) {
 		if dv == nil {
 			return
 		}
+		// Suspects absorb payload updates silently; the fire phase
+		// propagates a net payload change only for tuples visible
+		// throughout the round.
+		sh.markTouched(rel, e, occs)
 		dv.payload = d.payload
-		// Suspects absorb payload updates silently; a visibility-preserving
-		// change only propagates for visible tuples.
-		if sh.recomputePayload(e) && e.visible {
-			sh.fireAll(occs, d.tuple, Update, e, e.payload)
-		}
+		sh.recomputePayload(e)
 	}
 }
 
@@ -546,21 +511,14 @@ func (sh *shard) minStagedStratum() int {
 // shards and nodes cannot affect the fixpoint (the stratified wave order in
 // Node.ReleaseStaged is a round-trip optimization, not a correctness
 // requirement; engine/dred_test.go proves order independence).
-//
-// limit, when non-nil, caps how many staged items this call may release
-// (shared across shards by Node.ReleaseStaged's per-suspect baseline mode);
-// nil releases the whole stratum as one batch.
-func (sh *shard) releaseStratum(stratum int, limit *int) bool {
+func (sh *shard) releaseStratum(stratum int) bool {
 	any := false
 	ents := sh.stagedEnts
 	kept := ents[:0]
 	for _, e := range ents {
-		if limit != nil && *limit == 0 || sh.stratumOf(e.tuple.Pred) != stratum {
+		if sh.stratumOf(e.tuple.Pred) != stratum {
 			kept = append(kept, e)
 			continue
-		}
-		if limit != nil {
-			*limit--
 		}
 		e.staged = false
 		if !e.visible && len(e.derivs) > 0 {
@@ -577,12 +535,9 @@ func (sh *shard) releaseStratum(stratum int, limit *int) bool {
 	keptG := groups[:0]
 	for i := range groups {
 		sg := groups[i]
-		if limit != nil && *limit == 0 || sg.rule.headStratum != stratum {
+		if sg.rule.headStratum != stratum {
 			keptG = append(keptG, sg)
 			continue
-		}
-		if limit != nil {
-			*limit--
 		}
 		sg.g.staged = false
 		for _, em := range sg.g.refresh(sh, sg.rule, sg.groupVals, false) {
@@ -617,21 +572,6 @@ func (sh *shard) recomputePayload(e *entry) bool {
 	return true
 }
 
-// fireAll runs every rule occurrence triggered by a delta of this
-// predicate. deltaEntry may be nil (events); payload is the tuple's current
-// provenance payload in value mode.
-//
-//exspan:hotpath
-func (sh *shard) fireAll(occs []occurrence, t types.Tuple, sign int8, deltaEntry *entry, payload bdd.Ref) {
-	for _, occ := range occs {
-		if occ.rule.agg != nil {
-			sh.fireAgg(occ.rule, t, sign, payload)
-		} else {
-			sh.firePlan(occ.rule, occ.pos, t, sign, deltaEntry, payload)
-		}
-	}
-}
-
 // argArenaChunk sizes the chunked backing store for emitted head arguments.
 // Emitted tuples escape into relations and messages, so their args cannot
 // live in reusable scratch; carving them from a chunk amortizes the per-
@@ -643,11 +583,7 @@ func (sh *shard) allocArgs(k int) []types.Value {
 		return nil
 	}
 	if len(sh.argArena)+k > cap(sh.argArena) {
-		size := argArenaChunk
-		if k > size {
-			size = k
-		}
-		sh.argArena = make([]types.Value, 0, size)
+		sh.argArena = make([]types.Value, 0, max(arenaChunk(cap(sh.argArena), argArenaChunk), k))
 	}
 	off := len(sh.argArena)
 	sh.argArena = sh.argArena[:off+k]
@@ -661,7 +597,7 @@ const aggArenaChunk = 128
 // allocAggEntry carves a zeroed aggregate entry from the chunked arena.
 func (sh *shard) allocAggEntry() *aggEntry {
 	if len(sh.aggEntryArena) == cap(sh.aggEntryArena) {
-		sh.aggEntryArena = make([]aggEntry, 0, aggArenaChunk)
+		sh.aggEntryArena = make([]aggEntry, 0, arenaChunk(cap(sh.aggEntryArena), aggArenaChunk))
 	}
 	sh.aggEntryArena = sh.aggEntryArena[:len(sh.aggEntryArena)+1]
 	return &sh.aggEntryArena[len(sh.aggEntryArena)-1]
@@ -671,7 +607,7 @@ func (sh *shard) allocAggEntry() *aggEntry {
 // from the chunked arena.
 func (sh *shard) allocAggGroup() *aggGroup {
 	if len(sh.aggGroupArena) == cap(sh.aggGroupArena) {
-		sh.aggGroupArena = make([]aggGroup, 0, aggArenaChunk)
+		sh.aggGroupArena = make([]aggGroup, 0, arenaChunk(cap(sh.aggGroupArena), aggArenaChunk))
 	}
 	sh.aggGroupArena = sh.aggGroupArena[:len(sh.aggGroupArena)+1]
 	g := &sh.aggGroupArena[len(sh.aggGroupArena)-1]

@@ -114,9 +114,20 @@ func newPartition(owner *Store) *Partition {
 
 const storeArenaChunk = 256
 
+// minArenaChunk is the first chunk each arena carves; later chunks double
+// up to storeArenaChunk, so the many partitions that stay small never carve
+// a full-size chunk. The engine's arenas grow by the same rule.
+const minArenaChunk = 8
+
+// arenaChunk returns the capacity of an arena's next chunk given the
+// capacity of the exhausted one: double it, within [minArenaChunk, limit].
+func arenaChunk(prev, limit int) int {
+	return min(max(2*prev, minArenaChunk), limit)
+}
+
 func (s *Partition) allocProv1() []ProvEntry {
 	if len(s.provArena) == cap(s.provArena) {
-		s.provArena = make([]ProvEntry, 0, storeArenaChunk)
+		s.provArena = make([]ProvEntry, 0, arenaChunk(cap(s.provArena), storeArenaChunk))
 	}
 	n := len(s.provArena)
 	s.provArena = s.provArena[:n+1]
@@ -125,7 +136,7 @@ func (s *Partition) allocProv1() []ProvEntry {
 
 func (s *Partition) allocParent1() []Parent {
 	if len(s.parentArena) == cap(s.parentArena) {
-		s.parentArena = make([]Parent, 0, storeArenaChunk)
+		s.parentArena = make([]Parent, 0, arenaChunk(cap(s.parentArena), storeArenaChunk))
 	}
 	n := len(s.parentArena)
 	s.parentArena = s.parentArena[:n+1]
@@ -139,11 +150,7 @@ func (s *Partition) allocVIDs(vidList []types.ID) []types.ID {
 		return nil
 	}
 	if len(s.vidArena)+k > cap(s.vidArena) {
-		size := storeArenaChunk
-		if k > size {
-			size = k
-		}
-		s.vidArena = make([]types.ID, 0, size)
+		s.vidArena = make([]types.ID, 0, max(arenaChunk(cap(s.vidArena), storeArenaChunk), k))
 	}
 	n := len(s.vidArena)
 	s.vidArena = s.vidArena[:n+k]

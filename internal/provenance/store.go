@@ -60,9 +60,6 @@ func NewStoreSharded(node types.NodeID, n int) *Store {
 	return s
 }
 
-// NumPartitions reports the number of partitions.
-func (s *Store) NumPartitions() int { return len(s.parts) }
-
 // Part returns partition i. The engine worker shards write through these
 // directly; everything else goes through the facade methods.
 func (s *Store) Part(i int) *Partition { return s.parts[i] }

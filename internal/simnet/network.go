@@ -178,14 +178,6 @@ func (nw *Network) HasLink(u, v types.NodeID) bool {
 	return ok
 }
 
-// Neighbors appends the direct neighbors of u to dst and returns it.
-func (nw *Network) Neighbors(u types.NodeID, dst []types.NodeID) []types.NodeID {
-	for _, nb := range nw.adj[u] {
-		dst = append(dst, nb.to)
-	}
-	return dst
-}
-
 // NumLinks reports the number of installed links.
 func (nw *Network) NumLinks() int { return len(nw.links) }
 
